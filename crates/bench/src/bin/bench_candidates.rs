@@ -9,9 +9,9 @@
 //! 2. **Per-iteration refine speedup** — the cost of bringing the composite
 //!    features up to date after a converged-regime diff (1 changed edge, the
 //!    steady state implied by the < 1 % convergence threshold): dirty-pair
-//!    refresh via `changed_edges` + `influence_set` vs full recompute. The
-//!    refreshed matrix is asserted bit-identical to the full recompute
-//!    before any timing is reported.
+//!    refresh via `changed_edges` + `influence_set_seeded` vs full
+//!    recompute. The refreshed matrix is asserted bit-identical to the full
+//!    recompute before any timing is reported.
 //!
 //! The refinement state for measurement 2 is the target's ground-truth
 //! friendship graph. Refinement iterates on *predicted* social graphs, but
@@ -22,10 +22,6 @@
 //! graph; we still *count* the dirty pairs in that dense regime and record
 //! the number as an honest worst case (`dense_g0_dirty_pairs`), where the
 //! refresh degrades to a full recompute plus a cheap BFS.
-//!
-//! The end-to-end `infer` vs `infer_full` wall clock is a secondary,
-//! expensive statistic (it dilutes the per-iteration win with the shared
-//! first full pass and phase-1 work); opt in with `SEEKER_BENCH_E2E=1`.
 
 #![deny(missing_docs, dead_code)]
 
@@ -35,7 +31,7 @@ use std::time::Instant;
 use friendseeker::features::{composite_feature, FeatureStore};
 use friendseeker::pairs::all_pairs;
 use seeker_bench::report::results_dir;
-use seeker_graph::{changed_edges, influence_set, SocialGraph};
+use seeker_graph::{changed_edges, influence_set_seeded, SocialGraph};
 use seeker_trace::synth::{generate, SyntheticConfig};
 use seeker_trace::UserPair;
 
@@ -58,7 +54,7 @@ fn time_min<R>(mut f: impl FnMut() -> R) -> (f64, R) {
 /// of the `old` → `new` edge diff.
 fn dirty_indices(pairs: &[UserPair], old: &SocialGraph, new: &SocialGraph, k: usize) -> Vec<usize> {
     let diff = changed_edges(old, new);
-    let reach = influence_set(old, new, &diff, k.saturating_sub(1));
+    let reach = influence_set_seeded(old, new, &diff, &[], k.saturating_sub(1));
     pairs
         .iter()
         .enumerate()
@@ -147,23 +143,6 @@ fn main() {
     let dense_dirty = dirty_indices(&pairs, &g0, &g0_next, k).len();
     eprintln!("  dense-G0 worst case: {dense_dirty} of {} pairs dirty", pairs.len());
 
-    // -- 3. End-to-end infer vs infer_full (secondary, opt-in) ----------
-    let run_e2e = seeker_obs::env::flag("SEEKER_BENCH_E2E");
-    let e2e = if run_e2e {
-        let (e2e_fast_ms, fast) = time_min(|| trained.infer(&target).expect("infer"));
-        let (e2e_full_ms, full) = time_min(|| trained.infer_full(&target).expect("infer_full"));
-        assert_eq!(
-            fast.final_graph(),
-            full.final_graph(),
-            "candidate + incremental inference diverged from the full reference"
-        );
-        eprintln!("  end-to-end: infer {e2e_fast_ms:.1} ms vs infer_full {e2e_full_ms:.1} ms");
-        Some((e2e_fast_ms, e2e_full_ms))
-    } else {
-        eprintln!("  end-to-end: skipped (set SEEKER_BENCH_E2E=1 to run)");
-        None
-    };
-
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"candidate generation + incremental refinement\",");
@@ -186,18 +165,7 @@ fn main() {
     let _ = writeln!(json, "    \"full_ms\": {full_ms:.3},");
     let _ = writeln!(json, "    \"incremental_ms\": {incr_refresh_ms:.3},");
     let _ = writeln!(json, "    \"speedup\": {refresh_speedup:.3}");
-    let _ = writeln!(json, "  }},");
-    match e2e {
-        Some((fast_ms, full_ms)) => {
-            let _ = writeln!(json, "  \"end_to_end\": {{");
-            let _ = writeln!(json, "    \"infer_ms\": {fast_ms:.3},");
-            let _ = writeln!(json, "    \"infer_full_ms\": {full_ms:.3}");
-            let _ = writeln!(json, "  }}");
-        }
-        None => {
-            let _ = writeln!(json, "  \"end_to_end\": null");
-        }
-    }
+    let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
 
     let dir = results_dir();

@@ -116,22 +116,12 @@ impl TrainedAttack {
     /// JOC prediction (see [`crate::candidates`]). If that prediction
     /// clears the decision threshold, pruning would flip real decisions,
     /// so the run logs the event and falls back to the full universe.
-    /// `SEEKER_FULL_REFINE=1` forces the full universe *and* full
-    /// per-iteration recomputation. `SEEKER_SHARDS=<n>` routes the run
-    /// through [`TrainedAttack::infer_sharded`] with `n` shards (both set:
-    /// the full-refine hatch wins).
     ///
     /// # Errors
     ///
     /// Returns [`crate::AttackError::PairUniverse`] if the universe size
     /// does not fit the platform.
     pub fn infer(&self, target: &Dataset) -> Result<InferenceResult> {
-        if crate::phase2::full_refine_from_env() {
-            return self.infer_full(target);
-        }
-        if let Some(n_shards) = crate::phase2::shards_from_env() {
-            return self.infer_sharded(target, n_shards);
-        }
         let universe = candidate_universe(&self.phase1, target)?;
         if universe.residue_predicted_friend {
             seeker_obs::counter!("attack.candidates.fallback_full", 1);
@@ -167,7 +157,7 @@ impl TrainedAttack {
     /// Runs the attack shard-by-shard: candidate enumeration, phase-1
     /// scoring, and phase-2 refinement all process `n_shards` chunks at a
     /// time, so no full-universe intermediate (per-cell pair lists, feature
-    /// store, composite-feature cache, or SVM batch) is ever materialized —
+    /// store, composite-feature batch, or SVM batch) is ever materialized —
     /// peak memory is `O(users + candidate pairs + universe/n_shards)`.
     ///
     /// The output is bit-identical to [`TrainedAttack::infer`] on the same
@@ -209,33 +199,12 @@ impl TrainedAttack {
         Ok(InferenceResult { pairs: universe.pairs.clone(), trace, candidates: Some(universe) })
     }
 
-    /// Runs the attack over the **full** quadratic universe with full
-    /// per-iteration recomputation — the reference path the candidate +
-    /// incremental mode is contract-tested against.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::AttackError::PairUniverse`] if the universe size
-    /// does not fit the platform.
-    pub fn infer_full(&self, target: &Dataset) -> Result<InferenceResult> {
-        Ok(self.infer_pairs_full(target, all_pairs(target)?))
-    }
-
-    /// Runs the attack over an explicit candidate pair list, reusing clean
-    /// pair features (and predictions) across refinement iterations.
+    /// Runs the attack over an explicit candidate pair list, re-scoring
+    /// only the pairs each refinement iteration's edge diff could change.
     pub fn infer_pairs(&self, target: &Dataset, pairs: Vec<UserPair>) -> InferenceResult {
         let _span = seeker_obs::span!("attack.infer");
         seeker_obs::counter!("core.pairs_evaluated", pairs.len() as u64);
         let trace = self.phase2.infer(&self.cfg, &self.phase1, target, &pairs);
-        InferenceResult { pairs, trace, candidates: None }
-    }
-
-    /// Runs the attack over an explicit pair list with full per-iteration
-    /// recomputation (no feature reuse) — the incremental path's reference.
-    pub fn infer_pairs_full(&self, target: &Dataset, pairs: Vec<UserPair>) -> InferenceResult {
-        let _span = seeker_obs::span!("attack.infer");
-        seeker_obs::counter!("core.pairs_evaluated", pairs.len() as u64);
-        let trace = self.phase2.infer_impl(&self.cfg, &self.phase1, target, &pairs, true);
         InferenceResult { pairs, trace, candidates: None }
     }
 }
@@ -373,12 +342,12 @@ mod tests {
     }
 
     #[test]
-    fn infer_full_has_quadratic_universe() {
+    fn quadratic_and_candidate_universes_cover_all_pairs() {
         let train = generate(&SyntheticConfig::small(64)).unwrap().dataset;
         let attack = FriendSeeker::new(FriendSeekerConfig::fast());
         let trained = attack.train(&train).unwrap();
         let target = generate(&SyntheticConfig::small(65)).unwrap().dataset;
-        let full = trained.infer_full(&target).unwrap();
+        let full = trained.infer_pairs(&target, all_pairs(&target).unwrap());
         let n = target.n_users();
         assert_eq!(full.pairs.len(), n * (n - 1) / 2);
         // Sanity: every predicted edge is a valid user pair.

@@ -16,9 +16,10 @@
 //!    exactly the pairs with a dirtied endpoint — per-pair purity of the
 //!    encoder makes the partial batch bitwise equal to a full re-encode —
 //!    and `G⁰` is re-thresholded from the cached probabilities;
-//! 4. phase-2 refinement resumes from the previous run's feature cache
-//!    (the [`crate::phase2`] warm-resume path), seeding the influence BFS
-//!    with the dirty users.
+//! 4. phase-2 refinement resumes from the previous run's decisions and the
+//!    graph they were scored against (the [`crate::phase2`] warm-resume
+//!    path), seeding the influence BFS with the dirty users and
+//!    re-scoring only the rows they could have changed.
 //!
 //! The contract — pinned by the `serve_contract` append==rebuild proptest —
 //! is that after any sequence of ingests the session's result is
@@ -36,7 +37,7 @@ use crate::candidates::CandidateUniverse;
 use crate::error::{AttackError, Result};
 use crate::features::FeatureStore;
 use crate::pairs::{all_pairs, pair_universe_size};
-use crate::phase2::{IterationTrace, ResumeState};
+use crate::phase2::{IterationTrace, RefineState};
 
 /// Construction options for an [`IncrementalAttack`] session.
 #[derive(Debug, Clone, Default)]
@@ -53,12 +54,12 @@ pub struct IncrementalOptions {
 }
 
 impl IncrementalOptions {
-    /// Reads `SEEKER_SHARDS` and the `SEEKER_FULL_INGEST` escape hatch from
-    /// the cached [`seeker_obs::env`] registry.
+    /// Reads the `SEEKER_FULL_INGEST` escape hatch from the cached
+    /// [`seeker_obs::env`] registry.
     pub fn from_env() -> Self {
         IncrementalOptions {
-            n_shards: crate::phase2::shards_from_env(),
             full_ingest: seeker_obs::env::flag("SEEKER_FULL_INGEST"),
+            ..Default::default()
         }
     }
 }
@@ -88,14 +89,8 @@ pub struct IncrementalAttack {
     index: CellIndex,
     /// Co-location candidate pairs, canonical order — the universe record.
     candidates: Vec<UserPair>,
-    /// Whether refinement runs over the full quadratic universe (zero-JOC
-    /// fallback or the `SEEKER_FULL_REFINE` hatch) instead of `candidates`.
-    full_universe: bool,
-    /// Mirror of the `SEEKER_FULL_REFINE` hatch: full per-iteration feature
-    /// recomputation inside the refinement loop.
-    force_full_refine: bool,
-    /// The pair list actually classified (`candidates`, or the quadratic
-    /// universe when `full_universe`).
+    /// The pair list actually classified: `candidates`, or the quadratic
+    /// universe under the zero-JOC fallback (`residue_predicted_friend`).
     pairs: Vec<UserPair>,
     /// Classifier `C`'s cached friend probability per pair, aligned with
     /// `pairs` — thresholding reproduces `Phase1Model::predict_graph`
@@ -103,7 +98,7 @@ pub struct IncrementalAttack {
     p1_proba: Vec<f64>,
     /// Presence features for `pairs` (None while the universe is empty).
     store: Option<FeatureStore>,
-    resume: ResumeState,
+    resume: RefineState,
     n_total: u64,
     residue_probability: f64,
     residue_predicted_friend: bool,
@@ -130,26 +125,23 @@ impl IncrementalAttack {
         let n_total = pair_universe_size(initial.n_users())? as u64;
         let residue_probability = attack.phase1().zero_joc_proba();
         let residue_predicted_friend = residue_probability >= attack.phase1().threshold();
-        let force_full_refine = crate::phase2::full_refine_from_env();
-        let full_universe = force_full_refine || residue_predicted_friend;
         let index = CellIndex::build(&initial, attack.phase1().division());
         let candidates = match opts.n_shards {
             Some(n) => index.candidate_pairs_sharded(n),
             None => index.candidate_pairs(),
         };
-        let pairs = if full_universe { all_pairs(&initial)? } else { candidates.clone() };
+        let pairs =
+            if residue_predicted_friend { all_pairs(&initial)? } else { candidates.clone() };
         let mut session = IncrementalAttack {
             attack,
             opts,
             dataset: initial,
             index,
             candidates,
-            full_universe,
-            force_full_refine,
             pairs,
             p1_proba: Vec::new(),
             store: None,
-            resume: ResumeState::default(),
+            resume: RefineState::default(),
             n_total,
             residue_probability,
             residue_predicted_friend,
@@ -207,7 +199,7 @@ impl IncrementalAttack {
         // filters against the existing sorted universe.
         let fresh = self.index.apply(self.attack.phase1().division(), batch);
         let cand_inserted = splice_sorted(&mut self.candidates, &fresh);
-        let inserted = if self.full_universe {
+        let inserted = if self.residue_predicted_friend {
             Vec::new() // the quadratic universe is fixed
         } else {
             debug_assert_eq!(self.candidates.len(), self.pairs.len() + cand_inserted.len());
@@ -430,13 +422,11 @@ impl IncrementalAttack {
         let trace = self.attack.phase2().infer_warm(
             self.attack.config(),
             store,
-            self.dataset.n_users(),
             &self.pairs,
             g0,
             &mut self.resume,
             inserted,
             dirty_users,
-            self.force_full_refine,
         );
         self.last = InferenceResult {
             pairs: self.pairs.clone(),
@@ -461,8 +451,8 @@ impl IncrementalAttack {
     /// the current dataset (no incremental state is consulted or kept).
     fn recompute_reference(&mut self) -> Result<()> {
         self.last = match self.opts.n_shards {
-            Some(n) if !self.force_full_refine => self.attack.infer_sharded(&self.dataset, n)?,
-            _ => self.attack.infer(&self.dataset)?,
+            Some(n) => self.attack.infer_sharded(&self.dataset, n)?,
+            None => self.attack.infer(&self.dataset)?,
         };
         Ok(())
     }
@@ -623,12 +613,12 @@ mod tests {
     }
 
     #[test]
-    fn stale_feature_cache_is_invalidated_by_data_dirt() {
-        // Regression for the FeatureCache-only-sees-graph-deltas bug: the
-        // cache must also refresh pairs whose *data* changed. Appending
+    fn stale_decisions_are_invalidated_by_data_dirt() {
+        // Regression for the resume-only-sees-graph-deltas bug: the warm
+        // resume must also re-score pairs whose *data* changed. Appending
         // co-visits for a pair must flip its refreshed state to exactly
-        // what a cold rebuild computes — a stale cache would keep serving
-        // the old feature row.
+        // what a cold rebuild computes — a stale resume would keep serving
+        // the old decision.
         let (trained, _, initial, tail) = setup();
         let mut session =
             IncrementalAttack::new(trained.clone(), initial.clone(), IncrementalOptions::default())

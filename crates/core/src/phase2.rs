@@ -7,19 +7,23 @@
 //! decisions form the next graph; iteration stops when fewer than the
 //! convergence threshold of edges change (1 % in the paper).
 //!
-//! Refinement is *delta-driven*: a pair's composite feature reads only its
-//! k-hop reachable subgraph, and every vertex of a length-≤k simple path
-//! between the endpoints lies within distance `k − 1` of each endpoint. So
-//! after the edge diff `Gⁱ Δ Gⁱ⁻¹` is known, only pairs with **both**
-//! endpoints inside the BFS-`(k − 1)` influence set of a changed edge can
-//! change features; everything else is reused from the previous iteration
-//! bit-for-bit (the crate-private `FeatureCache`). `SEEKER_FULL_REFINE=1` forces the
-//! original full recompute per iteration as an escape hatch; the
-//! `incremental_refine` contract test pins both paths to identical output.
+//! One crate-private loop runs that procedure for every caller: training
+//! (which refits `C'` every iteration), inference over a whole-universe
+//! presence store or shard by shard, and the incremental engine's warm
+//! resume. The loop is *delta-driven*: a pair's composite feature reads
+//! only its k-hop reachable subgraph, and every vertex of a length-≤k
+//! simple path between the endpoints lies within distance `k − 1` of each
+//! endpoint. So after the edge diff `Gⁱ Δ Gⁱ⁻¹` is known, only pairs with
+//! **both** endpoints inside the BFS-`(k − 1)` influence set of a changed
+//! edge can change features; every other row is reused bit-for-bit. With
+//! `C'` frozen, a clean feature row also keeps its prediction, so inference
+//! carries only the decisions between iterations, never the feature rows.
+//! The `candidate_contract` tests pin the loop to a from-scratch oracle
+//! that recomputes every row of the full universe each iteration.
 
 use seeker_graph::SocialGraph;
 use seeker_ml::{Kernel, StandardScaler, Svm};
-use seeker_trace::{Dataset, UserPair};
+use seeker_trace::{Dataset, UserId, UserPair};
 
 use crate::config::FriendSeekerConfig;
 use crate::error::{AttackError, Result};
@@ -68,159 +72,218 @@ impl IterationTrace {
     }
 }
 
-/// Whether the given `SEEKER_FULL_REFINE` value requests the full-recompute
-/// escape hatch. Split from the env read so tests need no `set_var` races.
-pub(crate) fn full_refine_requested(value: Option<&str>) -> bool {
-    matches!(value, Some("1") | Some("true"))
-}
-
-/// Reads the `SEEKER_FULL_REFINE` escape hatch through the cached
-/// `seeker_obs::env` registry (configuration is immutable process state).
-pub(crate) fn full_refine_from_env() -> bool {
-    full_refine_requested(seeker_obs::env::raw("SEEKER_FULL_REFINE"))
-}
-
-/// Parses a `SEEKER_SHARDS` value: a positive shard count routes
-/// [`crate::TrainedAttack::infer`] through the shard-by-shard pipeline.
-/// Split from the env read so tests need no `set_var` races.
-pub(crate) fn shards_requested(value: Option<&str>) -> Option<usize> {
-    value.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n > 0)
-}
-
-/// Reads the `SEEKER_SHARDS` opt-in through the cached `seeker_obs::env`
-/// registry.
-pub(crate) fn shards_from_env() -> Option<usize> {
-    shards_requested(seeker_obs::env::raw("SEEKER_SHARDS"))
-}
-
-/// Composite features of a fixed pair list, kept in sync with a refinement
-/// graph sequence by recomputing only *dirty* pairs.
-///
-/// Soundness of the reuse: `composite_feature` reads the pair's k-hop
-/// reachable subgraph, whose every vertex sits within distance `k − 1` of
-/// either endpoint. If neither endpoint is within BFS depth `k − 1` (in the
-/// union of the old and new graph) of a changed-edge endpoint, no vertex the
-/// extraction can visit — in either graph — has changed adjacency, so the
-/// entire DFS trace, and with it the feature, is identical.
-pub(crate) struct FeatureCache {
-    features: Vec<Vec<f32>>,
-    /// The graph the cached features were computed against.
-    graph: SocialGraph,
-}
-
-impl FeatureCache {
-    /// Computes every pair's feature against `graph` (the quadratic path).
-    pub(crate) fn full<F>(graph: &SocialGraph, pairs: &[UserPair], compute: &F) -> Self
-    where
-        F: Fn(&SocialGraph, UserPair) -> Vec<f32> + Sync,
-    {
-        let features =
-            seeker_par::par_map_cost(pairs, seeker_par::Cost::Heavy, |&p| compute(graph, p));
-        FeatureCache { features, graph: graph.clone() }
-    }
-
-    /// Brings the cache up to date with `graph`, recomputing only pairs
-    /// whose k-hop subgraph can see an edge of `graph Δ cached`. Returns the
-    /// sorted indices of the recomputed (dirty) pairs.
-    pub(crate) fn refresh<F>(
-        &mut self,
-        graph: &SocialGraph,
-        pairs: &[UserPair],
-        k: usize,
-        compute: &F,
-    ) -> Vec<usize>
-    where
-        F: Fn(&SocialGraph, UserPair) -> Vec<f32> + Sync,
-    {
-        self.refresh_seeded(graph, pairs, k, compute, &[], &[])
-    }
-
-    /// [`FeatureCache::refresh`] extended with *data* dirt: `seed_vertices`
-    /// join the BFS frontier at depth 0 (users whose presence rows changed
-    /// — any composite feature reading one of their incident edges must
-    /// recompute), and `force_dirty` row indices recompute unconditionally
-    /// (pairs whose own presence row changed, and placeholder rows for
-    /// newly inserted pairs).
-    ///
-    /// Soundness of the extension: a composite feature reads, besides its
-    /// own pair's presence row (covered by `force_dirty`), only presence
-    /// rows of edges `(i, j)` on length-≤k paths between its endpoints. If
-    /// such a path vertex `i` is data-dirty and is not itself an endpoint
-    /// of the pair (endpoint dirt is again `force_dirty`), both endpoints
-    /// lie within distance `k − 1` of `i`, so seeding the BFS with the
-    /// dirty users marks every such pair.
-    pub(crate) fn refresh_seeded<F>(
-        &mut self,
-        graph: &SocialGraph,
-        pairs: &[UserPair],
-        k: usize,
-        compute: &F,
-        seed_vertices: &[seeker_trace::UserId],
-        force_dirty: &[usize],
-    ) -> Vec<usize>
-    where
-        F: Fn(&SocialGraph, UserPair) -> Vec<f32> + Sync,
-    {
-        let diff = seeker_graph::changed_edges(&self.graph, graph);
-        if diff.is_empty() && seed_vertices.is_empty() && force_dirty.is_empty() {
-            self.graph = graph.clone();
-            return Vec::new();
-        }
-        let radius = k.saturating_sub(1);
-        let reach =
-            seeker_graph::influence_set_seeded(&self.graph, graph, &diff, seed_vertices, radius);
-        let mut dirty: Vec<usize> = pairs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| reach[p.lo().index()] && reach[p.hi().index()])
-            .map(|(i, _)| i)
-            .collect();
-        dirty.extend_from_slice(force_dirty);
-        dirty.sort_unstable();
-        dirty.dedup();
-        let fresh = seeker_par::par_map_cost(&dirty, seeker_par::Cost::Heavy, |&i| {
-            compute(graph, pairs[i])
-        });
-        for (&i, f) in dirty.iter().zip(fresh) {
-            self.features[i] = f;
-        }
-        self.graph = graph.clone();
-        dirty
-    }
-
-    /// Inserts empty placeholder rows at `positions` — indices into the
-    /// *post-insert* pair list, strictly ascending. The caller must pass
-    /// the same positions as `force_dirty` to the next
-    /// [`FeatureCache::refresh_seeded`] call so the placeholders are
-    /// computed before anything reads them.
-    pub(crate) fn insert_rows(&mut self, positions: &[usize]) {
-        debug_assert!(
-            positions.windows(2).all(|w| w[0] < w[1]),
-            "insert positions must be strictly ascending"
-        );
-        for &i in positions {
-            self.features.insert(i, Vec::new());
-        }
-    }
-
-    /// The cached feature matrix, aligned with the pair list.
-    pub(crate) fn features(&self) -> &[Vec<f32>] {
-        &self.features
-    }
-}
-
-/// Cross-run refinement state carried by the incremental attack engine
-/// (`crate::incremental`): the composite-feature cache and frozen-`C'`
-/// predictions left behind by the last completed
-/// [`Phase2Model::infer_warm`] run. `preds.len()` equals the pair-universe
-/// length whenever `cache` is `Some`.
+/// What a refinement run leaves for the next one to resume from: the `C'`
+/// decisions and the graph they were scored against. The incremental
+/// engine (`crate::incremental`) carries one across ingests.
 #[derive(Default)]
-pub(crate) struct ResumeState {
-    /// Feature cache of the last run's final iteration (None before the
-    /// first refinement iteration ever runs, or when `n_iterations == 0`).
-    pub(crate) cache: Option<FeatureCache>,
-    /// The frozen-SVM decisions aligned with the cached feature rows.
-    pub(crate) preds: Vec<bool>,
+pub(crate) struct RefineState {
+    /// The graph `preds` were scored against; `None` until a run completes
+    /// an iteration, in which case the next run re-scores every row.
+    scored: Option<SocialGraph>,
+    /// The decisions, aligned with the pair list.
+    preds: Vec<bool>,
+}
+
+/// How the loop turns composite features into decisions.
+enum Scoring<'a> {
+    /// Training: the scaler and SVM are refit on the calibration rows every
+    /// iteration, so every row is re-scored even when few features changed.
+    Refit { svm_cfg: &'a seeker_ml::SvmConfig, cal_idx: &'a [usize], cal_labels: &'a [bool] },
+    /// Inference: `C'` is frozen, so a clean feature row implies a clean
+    /// prediction and only dirty rows are re-scored.
+    Frozen(&'a Phase2Model),
+}
+
+/// Where the loop reads presence rows from.
+enum Presence<'a> {
+    /// One store over the whole pair universe, built once by the caller.
+    Whole(&'a FeatureStore),
+    /// Built per iteration and per `shard_ranges` chunk of the dirty rows:
+    /// the scoring graph's edge rows merged with the chunk's own rows, so no
+    /// whole-universe store is ever held. Besides its own pair, a k-hop path
+    /// embedding only looks up edges of the graph it walks, and every such
+    /// edge is a member of the pair universe.
+    Sharded { phase1: &'a Phase1Model, target: &'a Dataset, n_shards: usize },
+}
+
+/// The phase-2 refinement loop behind every entry point of this module.
+struct Refinement<'a> {
+    cfg: &'a FriendSeekerConfig,
+    pairs: &'a [UserPair],
+    scoring: Scoring<'a>,
+    presence: Presence<'a>,
+}
+
+impl Refinement<'_> {
+    /// Refines `g0` until fewer than the convergence threshold of edges
+    /// change or the iteration cap is hit, resuming from `state` and leaving
+    /// it describing the last iteration. `seeds` (users whose presence rows
+    /// changed since `state` was scored) and `forced` rows (pairs that are
+    /// new to `state`) dirty the first iteration only. Returns the trace
+    /// and, when refitting, the last iteration's model.
+    fn run(
+        &self,
+        g0: SocialGraph,
+        state: &mut RefineState,
+        seeds: &[UserId],
+        forced: &[usize],
+    ) -> (IterationTrace, Option<Phase2Model>) {
+        let (cfg, pairs) = (self.cfg, self.pairs);
+        let (n_iterations, converged, [iter_span, edges_gauge, ratio_gauge]) = match self.scoring {
+            Scoring::Refit { .. } => (
+                cfg.max_iterations,
+                false,
+                ["phase2.train.iter", "phase2.train.iter.edges", "phase2.train.iter.change_ratio"],
+            ),
+            Scoring::Frozen(model) => (
+                model.n_iterations.min(cfg.max_iterations),
+                model.n_iterations == 0,
+                ["phase2.infer.iter", "phase2.infer.iter.edges", "phase2.infer.iter.change_ratio"],
+            ),
+        };
+        let mut trace = IterationTrace { graphs: vec![g0], change_ratios: Vec::new(), converged };
+        // Refit mode only: every row's feature, kept because the refit SVM
+        // re-scores all rows. Refit runs always start from an empty state.
+        let mut features: Vec<Vec<f32>> = Vec::new();
+        let mut model = None;
+        for it in 0..n_iterations {
+            let _iter_span = seeker_obs::span!(iter_span);
+            let graph = &trace.graphs[it];
+            let prev = if it == 0 { state.scored.as_ref() } else { Some(&trace.graphs[it - 1]) };
+            let dirty = match prev {
+                None => {
+                    state.preds = vec![false; pairs.len()];
+                    if let Scoring::Refit { .. } = self.scoring {
+                        features = vec![Vec::new(); pairs.len()];
+                    }
+                    (0..pairs.len()).collect()
+                }
+                Some(prev) if it == 0 => dirty_rows(prev, graph, pairs, cfg.k_hop, seeds, forced),
+                Some(prev) => dirty_rows(prev, graph, pairs, cfg.k_hop, &[], &[]),
+            };
+            seeker_obs::counter!("phase2.refine.dirty_pairs", dirty.len() as u64);
+            self.fresh_rows(graph, &dirty, |idx, rows| match self.scoring {
+                Scoring::Refit { .. } => {
+                    for (&i, row) in idx.iter().zip(rows) {
+                        features[i] = row;
+                    }
+                }
+                Scoring::Frozen(model) => {
+                    let fresh = model.svm.predict(&model.scaler.transform(&rows));
+                    for (&i, p) in idx.iter().zip(fresh) {
+                        state.preds[i] = p;
+                    }
+                }
+            });
+            if let Scoring::Refit { svm_cfg, cal_idx, cal_labels } = self.scoring {
+                let cal_features: Vec<Vec<f32>> =
+                    cal_idx.iter().map(|&i| features[i].clone()).collect();
+                let (scaler, cal_scaled) = StandardScaler::fit_transform(&cal_features);
+                let svm = Svm::fit(svm_cfg, &cal_scaled, cal_labels);
+                state.preds = svm.predict(&scaler.transform(&features));
+                model = Some(Phase2Model {
+                    scaler,
+                    svm,
+                    svm_config: svm_cfg.clone(),
+                    n_iterations: cfg.max_iterations,
+                });
+            }
+            let next = graph_from_predictions(graph.n_vertices(), pairs, &state.preds);
+            let change = graph.change_ratio(&next);
+            seeker_obs::counter!("phase2.edge_churn", graph.edge_difference(&next) as u64);
+            seeker_obs::gauge!(edges_gauge, next.n_edges());
+            seeker_obs::gauge!(ratio_gauge, change);
+            trace.graphs.push(next);
+            trace.change_ratios.push(change);
+            if change < cfg.convergence_threshold {
+                trace.converged = true;
+                break;
+            }
+        }
+        state.scored = trace.graphs.len().checked_sub(2).map(|i| trace.graphs[i].clone());
+        (trace, model)
+    }
+
+    /// Computes the composite features of the `dirty` rows against `graph`
+    /// and hands them to `sink` in batches of (row indices, feature rows).
+    fn fresh_rows(
+        &self,
+        graph: &SocialGraph,
+        dirty: &[usize],
+        mut sink: impl FnMut(&[usize], Vec<Vec<f32>>),
+    ) {
+        if dirty.is_empty() {
+            return;
+        }
+        let (k, pairs) = (self.cfg.k_hop, self.pairs);
+        match self.presence {
+            Presence::Whole(store) => {
+                let rows = seeker_par::par_map_cost(dirty, seeker_par::Cost::Heavy, |&i| {
+                    composite_feature(graph, pairs[i], k, store)
+                });
+                sink(dirty, rows);
+            }
+            Presence::Sharded { phase1, target, n_shards } => {
+                let edge_pairs: Vec<UserPair> = graph.edges().collect();
+                let edge_store = (!edge_pairs.is_empty())
+                    .then(|| FeatureStore::build(phase1, target, &edge_pairs));
+                for range in seeker_spatial::shard_ranges(dirty.len(), n_shards) {
+                    let idx = &dirty[range];
+                    if idx.is_empty() {
+                        continue;
+                    }
+                    let chunk: Vec<UserPair> = idx.iter().map(|&i| pairs[i]).collect();
+                    let chunk_store = FeatureStore::build(phase1, target, &chunk);
+                    let store = match edge_store.as_ref() {
+                        Some(es) => es.merged(&chunk_store),
+                        None => chunk_store,
+                    };
+                    let rows = seeker_par::par_map_cost(&chunk, seeker_par::Cost::Heavy, |&p| {
+                        composite_feature(graph, p, k, &store)
+                    });
+                    sink(idx, rows);
+                }
+            }
+        }
+    }
+}
+
+/// The refinement loop's dirty-row rule: the sorted, unique indices of the
+/// `pairs` whose composite feature can differ between `prev` and `graph`
+/// once the users in `seeds` have had their presence rows rewritten, plus
+/// the `forced` rows.
+///
+/// Soundness: a composite feature reads its own pair's presence row and
+/// the rows of the edges on its length-≤k paths, every vertex of which lies
+/// within distance `k − 1` of both endpoints in whichever graph holds the
+/// path. So a row can change only if an endpoint is seeded (its own
+/// presence row moved), or both endpoints lie within BFS depth `k − 1`, over
+/// the union of both graphs, of a changed-edge endpoint or a seeded user.
+pub(crate) fn dirty_rows(
+    prev: &SocialGraph,
+    graph: &SocialGraph,
+    pairs: &[UserPair],
+    k: usize,
+    seeds: &[UserId],
+    forced: &[usize],
+) -> Vec<usize> {
+    let diff = seeker_graph::changed_edges(prev, graph);
+    let mut dirty = forced.to_vec();
+    if !diff.is_empty() || !seeds.is_empty() {
+        let radius = k.saturating_sub(1);
+        let reach = seeker_graph::influence_set_seeded(prev, graph, &diff, seeds, radius);
+        let mut seeded = vec![false; reach.len()];
+        for u in seeds {
+            seeded[u.index()] = true;
+        }
+        dirty.extend(pairs.iter().enumerate().filter_map(|(i, p)| {
+            let (lo, hi) = (p.lo().index(), p.hi().index());
+            ((reach[lo] && reach[hi]) || seeded[lo] || seeded[hi]).then_some(i)
+        }));
+    }
+    dirty.sort_unstable();
+    dirty.dedup();
+    dirty
 }
 
 /// Trains `C'` by iterative refinement on the labeled training pairs.
@@ -265,20 +328,21 @@ pub fn train_phase2(
     // labeled data, so this is free — and it guarantees the refinement
     // never degrades the graph it can measure.
     let mut best: Option<(f64, Phase2Model, IterationTrace)> = None;
-    let force_full = full_refine_from_env();
     for svm_cfg in candidate_svm_configs(cfg) {
-        let (mut model, mut trace) = refine(
+        let refinement = Refinement {
             cfg,
-            &svm_cfg,
-            &store,
-            train,
-            train_pairs,
-            &cal_idx,
-            &cal_labels,
-            g0.clone(),
-            true,
-            force_full,
-        )?;
+            pairs: &train_pairs.pairs,
+            scoring: Scoring::Refit {
+                svm_cfg: &svm_cfg,
+                cal_idx: &cal_idx,
+                cal_labels: &cal_labels,
+            },
+            presence: Presence::Whole(&store),
+        };
+        let (mut trace, model) = refinement.run(g0.clone(), &mut RefineState::default(), &[], &[]);
+        let Some(mut model) = model else {
+            return Err(AttackError::Config("max_iterations must be at least 1".into()));
+        };
         let f1_at: Vec<f64> =
             trace.graphs.iter().map(|g| graph_f1(g, train_pairs, &cal_idx, &cal_labels)).collect();
         // Winner's-curse guard: a refined graph must beat the unbiased G0
@@ -327,75 +391,6 @@ fn graph_f1(
     seeker_ml::BinaryMetrics::from_predictions(&preds, labels).f1()
 }
 
-/// One full refinement loop. With `fit = true` the scaler + SVM are refit
-/// each iteration on the calibration subset (training); the returned model
-/// is the last iteration's. With `force_full` the composite features are
-/// recomputed from scratch each iteration instead of delta-refreshed.
-#[allow(clippy::too_many_arguments)]
-fn refine(
-    cfg: &FriendSeekerConfig,
-    svm_cfg: &seeker_ml::SvmConfig,
-    store: &FeatureStore,
-    train: &Dataset,
-    train_pairs: &LabeledPairs,
-    cal_idx: &[usize],
-    cal_labels: &[bool],
-    mut graph: SocialGraph,
-    fit: bool,
-    force_full: bool,
-) -> Result<(Phase2Model, IterationTrace)> {
-    debug_assert!(fit, "training-side refinement always refits");
-    let mut trace =
-        IterationTrace { graphs: vec![graph.clone()], change_ratios: Vec::new(), converged: false };
-    let mut model: Option<Phase2Model> = None;
-    let compute = |g: &SocialGraph, p: UserPair| composite_feature(g, p, cfg.k_hop, store);
-    let mut cache = FeatureCache::full(&graph, &train_pairs.pairs, &compute);
-    let mut first = true;
-    for _ in 0..cfg.max_iterations {
-        let _iter_span = seeker_obs::span!("phase2.train.iter");
-        if first {
-            // The cache was just built against G⁰.
-            first = false;
-            seeker_obs::counter!("phase2.refine.dirty_pairs", train_pairs.len() as u64);
-        } else if force_full {
-            cache = FeatureCache::full(&graph, &train_pairs.pairs, &compute);
-            seeker_obs::counter!("phase2.refine.dirty_pairs", train_pairs.len() as u64);
-        } else {
-            let dirty = cache.refresh(&graph, &train_pairs.pairs, cfg.k_hop, &compute);
-            seeker_obs::counter!("phase2.refine.dirty_pairs", dirty.len() as u64);
-        }
-        let features = cache.features();
-        let cal_features: Vec<Vec<f32>> = cal_idx.iter().map(|&i| features[i].clone()).collect();
-        let (scaler, cal_scaled) = StandardScaler::fit_transform(&cal_features);
-        let svm = Svm::fit(svm_cfg, &cal_scaled, cal_labels);
-        // The SVM is refit above, so predictions must cover every pair even
-        // when only a few features changed.
-        let preds = svm.predict(&scaler.transform(features));
-        let next = graph_from_predictions(train.n_users(), &train_pairs.pairs, &preds);
-        let change = graph.change_ratio(&next);
-        seeker_obs::counter!("phase2.edge_churn", graph.edge_difference(&next) as u64);
-        seeker_obs::gauge!("phase2.train.iter.edges", next.n_edges());
-        seeker_obs::gauge!("phase2.train.iter.change_ratio", change);
-        model = Some(Phase2Model {
-            scaler,
-            svm,
-            svm_config: svm_cfg.clone(),
-            n_iterations: cfg.max_iterations,
-        });
-        trace.graphs.push(next.clone());
-        trace.change_ratios.push(change);
-        graph = next;
-        if change < cfg.convergence_threshold {
-            trace.converged = true;
-            break;
-        }
-    }
-    match model {
-        Some(model) => Ok((model, trace)),
-        None => Err(AttackError::Config("max_iterations must be at least 1".into())),
-    }
-}
-
 impl Phase2Model {
     /// Runs the iterative inference procedure on a target dataset: phase-1
     /// features and graph, then repeated `C'` refinement with the *trained*
@@ -403,8 +398,8 @@ impl Phase2Model {
     ///
     /// Iterations after the first recompute features — and, since `C'` is
     /// frozen here, predictions — only for dirty pairs. The result is
-    /// bit-identical to a full per-iteration recompute (forced via the
-    /// `SEEKER_FULL_REFINE=1` environment variable).
+    /// bit-identical to a full per-iteration recompute (pinned by the
+    /// `candidate_contract` tests).
     pub fn infer(
         &self,
         cfg: &FriendSeekerConfig,
@@ -412,88 +407,30 @@ impl Phase2Model {
         target: &Dataset,
         pairs: &[UserPair],
     ) -> IterationTrace {
-        self.infer_impl(cfg, phase1, target, pairs, full_refine_from_env())
-    }
-
-    pub(crate) fn infer_impl(
-        &self,
-        cfg: &FriendSeekerConfig,
-        phase1: &Phase1Model,
-        target: &Dataset,
-        pairs: &[UserPair],
-        force_full: bool,
-    ) -> IterationTrace {
         let _span = seeker_obs::span!("phase2.infer");
         let store = FeatureStore::build(phase1, target, pairs);
-        let mut graph = phase1.predict_graph(target, pairs);
-        seeker_obs::gauge!("phase2.infer.g0.edges", graph.n_edges());
-        let mut trace = IterationTrace {
-            graphs: vec![graph.clone()],
-            change_ratios: Vec::new(),
-            converged: self.n_iterations == 0,
+        let g0 = phase1.predict_graph(target, pairs);
+        seeker_obs::gauge!("phase2.infer.g0.edges", g0.n_edges());
+        let refinement = Refinement {
+            cfg,
+            pairs,
+            scoring: Scoring::Frozen(self),
+            presence: Presence::Whole(&store),
         };
-        let compute = |g: &SocialGraph, p: UserPair| composite_feature(g, p, cfg.k_hop, &store);
-        let mut cache: Option<FeatureCache> = None;
-        let mut preds: Vec<bool> = Vec::new();
-        for _ in 0..self.n_iterations.min(cfg.max_iterations) {
-            let _iter_span = seeker_obs::span!("phase2.infer.iter");
-            match cache.as_mut() {
-                None => {
-                    let c = FeatureCache::full(&graph, pairs, &compute);
-                    preds = self.svm.predict(&self.scaler.transform(c.features()));
-                    seeker_obs::counter!("phase2.refine.dirty_pairs", pairs.len() as u64);
-                    cache = Some(c);
-                }
-                Some(c) if force_full => {
-                    *c = FeatureCache::full(&graph, pairs, &compute);
-                    preds = self.svm.predict(&self.scaler.transform(c.features()));
-                    seeker_obs::counter!("phase2.refine.dirty_pairs", pairs.len() as u64);
-                }
-                Some(c) => {
-                    let dirty = c.refresh(&graph, pairs, cfg.k_hop, &compute);
-                    seeker_obs::counter!("phase2.refine.dirty_pairs", dirty.len() as u64);
-                    // C' is frozen at inference time, so a clean feature row
-                    // implies a clean prediction; re-score only dirty rows.
-                    let rows: Vec<Vec<f32>> =
-                        dirty.iter().map(|&i| c.features()[i].clone()).collect();
-                    let fresh = self.svm.predict(&self.scaler.transform(&rows));
-                    for (&i, p) in dirty.iter().zip(fresh) {
-                        preds[i] = p;
-                    }
-                }
-            }
-            let next = graph_from_predictions(target.n_users(), pairs, &preds);
-            let change = graph.change_ratio(&next);
-            seeker_obs::counter!("phase2.edge_churn", graph.edge_difference(&next) as u64);
-            seeker_obs::gauge!("phase2.infer.iter.edges", next.n_edges());
-            seeker_obs::gauge!("phase2.infer.iter.change_ratio", change);
-            trace.graphs.push(next.clone());
-            trace.change_ratios.push(change);
-            graph = next;
-            if change < cfg.convergence_threshold {
-                trace.converged = true;
-                break;
-            }
-        }
-        trace
+        refinement.run(g0, &mut RefineState::default(), &[], &[]).0
     }
 
     /// Shard-by-shard variant of [`Phase2Model::infer`]: no full-universe
     /// intermediate — neither the whole-universe presence-feature store,
-    /// nor the composite-feature cache, nor one giant SVM batch — is ever
-    /// materialized. Per-iteration state is `O(pairs)` booleans plus one
-    /// chunk of features at a time.
+    /// nor one giant feature or SVM batch — is ever materialized.
+    /// Per-iteration state is `O(pairs)` booleans plus one chunk of
+    /// features at a time.
     ///
     /// Output is bit-identical to [`Phase2Model::infer`] (pinned by the
     /// shard contract tests for shard counts {1, 2, 7, 64}): presence
     /// encoding, scaling, SVM decisions, and composite features are all
     /// per-row pure, so chunked batches produce the reference rows, and the
-    /// dirty set is derived by the same influence-set rule the incremental
-    /// `FeatureCache` uses. Each chunk's composite features read a store
-    /// joining the chunk's own presence rows with the current graph's edge
-    /// rows — besides its own pair, a k-hop path embedding can only ever
-    /// look up edges of the graph it walks, and every such edge is a member
-    /// of the candidate universe.
+    /// refinement loop and its dirty-row rule are the same.
     pub fn infer_sharded(
         &self,
         cfg: &FriendSeekerConfig,
@@ -506,7 +443,7 @@ impl Phase2Model {
         seeker_obs::gauge!("phase2.infer.shards", n_shards);
         // G⁰ chunk-by-chunk: classifier C is per-row pure, so concatenating
         // chunk predictions reproduces the batched reference graph.
-        let mut graph = SocialGraph::new(target.n_users());
+        let mut g0 = SocialGraph::new(target.n_users());
         for range in seeker_spatial::shard_ranges(pairs.len(), n_shards) {
             let chunk = &pairs[range];
             if chunk.is_empty() {
@@ -514,201 +451,61 @@ impl Phase2Model {
             }
             for (&pair, friend) in chunk.iter().zip(phase1.predict(target, chunk)) {
                 if friend {
-                    graph.add_edge(pair);
+                    g0.add_edge(pair);
                 }
             }
         }
-        seeker_obs::gauge!("phase2.infer.g0.edges", graph.n_edges());
-        let mut trace = IterationTrace {
-            graphs: vec![graph.clone()],
-            change_ratios: Vec::new(),
-            converged: self.n_iterations == 0,
+        seeker_obs::gauge!("phase2.infer.g0.edges", g0.n_edges());
+        let refinement = Refinement {
+            cfg,
+            pairs,
+            scoring: Scoring::Frozen(self),
+            presence: Presence::Sharded { phase1, target, n_shards },
         };
-        let mut preds: Vec<bool> = Vec::new();
-        // The graph the current `preds` were scored against (None before
-        // the first iteration) — the role `FeatureCache::graph` plays in
-        // the reference path.
-        let mut feat_graph: Option<SocialGraph> = None;
-        for _ in 0..self.n_iterations.min(cfg.max_iterations) {
-            let _iter_span = seeker_obs::span!("phase2.infer.iter");
-            let dirty: Vec<usize> = match feat_graph.as_ref() {
-                None => {
-                    preds = vec![false; pairs.len()];
-                    (0..pairs.len()).collect()
-                }
-                Some(prev) => {
-                    let diff = seeker_graph::changed_edges(prev, &graph);
-                    if diff.is_empty() {
-                        Vec::new()
-                    } else {
-                        let radius = cfg.k_hop.saturating_sub(1);
-                        let reach = seeker_graph::influence_set(prev, &graph, &diff, radius);
-                        pairs
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, p)| reach[p.lo().index()] && reach[p.hi().index()])
-                            .map(|(i, _)| i)
-                            .collect()
-                    }
-                }
-            };
-            seeker_obs::counter!("phase2.refine.dirty_pairs", dirty.len() as u64);
-            if !dirty.is_empty() {
-                // Presence rows for the scoring graph's edges: the only
-                // rows a composite feature reads besides its own pair's.
-                let edge_pairs: Vec<UserPair> = graph.edges().collect();
-                let edge_store = (!edge_pairs.is_empty())
-                    .then(|| FeatureStore::build(phase1, target, &edge_pairs));
-                for range in seeker_spatial::shard_ranges(dirty.len(), n_shards) {
-                    let chunk_idx = &dirty[range];
-                    if chunk_idx.is_empty() {
-                        continue;
-                    }
-                    let chunk: Vec<UserPair> = chunk_idx.iter().map(|&i| pairs[i]).collect();
-                    let chunk_store = FeatureStore::build(phase1, target, &chunk);
-                    let store = match edge_store.as_ref() {
-                        Some(es) => es.merged(&chunk_store),
-                        None => chunk_store,
-                    };
-                    let rows = seeker_par::par_map_cost(&chunk, seeker_par::Cost::Heavy, |&p| {
-                        composite_feature(&graph, p, cfg.k_hop, &store)
-                    });
-                    let fresh = self.svm.predict(&self.scaler.transform(&rows));
-                    for (&i, p) in chunk_idx.iter().zip(fresh) {
-                        preds[i] = p;
-                    }
-                }
-            }
-            feat_graph = Some(graph.clone());
-            let next = graph_from_predictions(target.n_users(), pairs, &preds);
-            let change = graph.change_ratio(&next);
-            seeker_obs::counter!("phase2.edge_churn", graph.edge_difference(&next) as u64);
-            seeker_obs::gauge!("phase2.infer.iter.edges", next.n_edges());
-            seeker_obs::gauge!("phase2.infer.iter.change_ratio", change);
-            trace.graphs.push(next.clone());
-            trace.change_ratios.push(change);
-            graph = next;
-            if change < cfg.convergence_threshold {
-                trace.converged = true;
-                break;
-            }
-        }
-        trace
+        refinement.run(g0, &mut RefineState::default(), &[], &[]).0
     }
 
     /// Warm-resume variant of [`Phase2Model::infer`] for the incremental
-    /// attack engine: refinement restarts from the feature cache and
-    /// predictions the *previous* run left in `state` instead of a full
-    /// first-iteration recompute.
+    /// attack engine: refinement restarts from the decisions the *previous*
+    /// run left in `state` instead of re-scoring every row.
     ///
     /// The caller supplies the post-ingest presence store and phase-1 graph
-    /// `g0`, the sorted positions (`inserted`) at which new pairs entered
-    /// the universe this ingest, and the sorted users whose trajectories
-    /// the ingest touched (`dirty_users`). Bit-identity with a cold
-    /// [`Phase2Model::infer`] on the rebuilt dataset holds because the warm
-    /// first iteration recomputes exactly the rows a full recompute could
-    /// change: rows whose own presence feature changed (an endpoint in
-    /// `dirty_users`, or a freshly inserted pair) are force-dirty, and rows
-    /// whose k-hop trace could differ — via a graph edit between the cached
-    /// graph and `g0`, or via a dirty user on one of its ≤k-length paths —
-    /// are caught by the seeded influence BFS
-    /// ([`FeatureCache::refresh_seeded`]). Every other row's feature
-    /// extraction reads only unchanged presence rows over an unchanged
-    /// subgraph, so reuse is exact; `C'` is frozen, so clean features imply
-    /// clean predictions.
+    /// `g0`, the ascending positions (`inserted`) at which new pairs entered
+    /// the universe this ingest, and the users whose trajectories the ingest
+    /// touched (`dirty_users`). Bit-identity with a cold
+    /// [`Phase2Model::infer`] on the rebuilt dataset holds because the first
+    /// warm iteration re-scores exactly the rows a full recompute could
+    /// change: inserted rows are forced, and the dirty-row rule catches rows
+    /// with a touched endpoint and rows whose k-hop trace could differ via
+    /// a graph edit or a touched user on one of their ≤k-length paths.
+    /// `C'` is frozen, so every other row keeps its decision.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn infer_warm(
         &self,
         cfg: &FriendSeekerConfig,
         store: &FeatureStore,
-        n_users: usize,
         pairs: &[UserPair],
         g0: SocialGraph,
-        state: &mut ResumeState,
+        state: &mut RefineState,
         inserted: &[usize],
-        dirty_users: &[seeker_trace::UserId],
-        force_full: bool,
+        dirty_users: &[UserId],
     ) -> IterationTrace {
         let _span = seeker_obs::span!("phase2.infer");
-        let mut graph = g0;
-        seeker_obs::gauge!("phase2.infer.g0.edges", graph.n_edges());
-        let mut trace = IterationTrace {
-            graphs: vec![graph.clone()],
-            change_ratios: Vec::new(),
-            converged: self.n_iterations == 0,
-        };
-        let compute = |g: &SocialGraph, p: UserPair| composite_feature(g, p, cfg.k_hop, store);
-        // Splice placeholder rows for pairs that entered the universe this
-        // ingest; they join `force_rows` below, so nothing reads them stale.
-        let mut preds = std::mem::take(&mut state.preds);
-        let mut cache = if force_full { None } else { state.cache.take() };
-        if let Some(c) = cache.as_mut() {
-            c.insert_rows(inserted);
+        seeker_obs::gauge!("phase2.infer.g0.edges", g0.n_edges());
+        if state.scored.is_some() {
+            // Placeholders for the new pairs; they are forced dirty below,
+            // so nothing reads them unscored.
             for &i in inserted {
-                preds.insert(i, false);
+                state.preds.insert(i, false);
             }
-        } else {
-            preds.clear();
         }
-        let force_rows: Vec<usize> = {
-            let endpoint_dirty = pairs.iter().enumerate().filter_map(|(i, p)| {
-                (dirty_users.binary_search(&p.lo()).is_ok()
-                    || dirty_users.binary_search(&p.hi()).is_ok())
-                .then_some(i)
-            });
-            let mut v: Vec<usize> = inserted.iter().copied().chain(endpoint_dirty).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
+        let refinement = Refinement {
+            cfg,
+            pairs,
+            scoring: Scoring::Frozen(self),
+            presence: Presence::Whole(store),
         };
-        // Data dirt applies to the first refresh only: once the cache has
-        // been reconciled with the post-ingest store, later iterations see
-        // pure graph churn, exactly as in `infer_impl`.
-        let mut data_dirt_pending = cache.is_some();
-        for _ in 0..self.n_iterations.min(cfg.max_iterations) {
-            let _iter_span = seeker_obs::span!("phase2.infer.iter");
-            match cache.as_mut() {
-                None => {
-                    let c = FeatureCache::full(&graph, pairs, &compute);
-                    preds = self.svm.predict(&self.scaler.transform(c.features()));
-                    seeker_obs::counter!("phase2.refine.dirty_pairs", pairs.len() as u64);
-                    cache = Some(c);
-                }
-                Some(c) if force_full => {
-                    *c = FeatureCache::full(&graph, pairs, &compute);
-                    preds = self.svm.predict(&self.scaler.transform(c.features()));
-                    seeker_obs::counter!("phase2.refine.dirty_pairs", pairs.len() as u64);
-                }
-                Some(c) => {
-                    let (seeds, force): (&[seeker_trace::UserId], &[usize]) =
-                        if data_dirt_pending { (dirty_users, &force_rows) } else { (&[], &[]) };
-                    let dirty = c.refresh_seeded(&graph, pairs, cfg.k_hop, &compute, seeds, force);
-                    seeker_obs::counter!("phase2.refine.dirty_pairs", dirty.len() as u64);
-                    let rows: Vec<Vec<f32>> =
-                        dirty.iter().map(|&i| c.features()[i].clone()).collect();
-                    let fresh = self.svm.predict(&self.scaler.transform(&rows));
-                    for (&i, p) in dirty.iter().zip(fresh) {
-                        preds[i] = p;
-                    }
-                }
-            }
-            data_dirt_pending = false;
-            let next = graph_from_predictions(n_users, pairs, &preds);
-            let change = graph.change_ratio(&next);
-            seeker_obs::counter!("phase2.edge_churn", graph.edge_difference(&next) as u64);
-            seeker_obs::gauge!("phase2.infer.iter.edges", next.n_edges());
-            seeker_obs::gauge!("phase2.infer.iter.change_ratio", change);
-            trace.graphs.push(next.clone());
-            trace.change_ratios.push(change);
-            graph = next;
-            if change < cfg.convergence_threshold {
-                trace.converged = true;
-                break;
-            }
-        }
-        state.cache = cache;
-        state.preds = preds;
-        trace
+        refinement.run(g0, state, dirty_users, inserted).0
     }
 
     /// The underlying SVM (ablation inspection).
@@ -903,16 +700,51 @@ mod tests {
     }
 
     #[test]
-    fn shard_env_parsers() {
-        assert!(full_refine_requested(Some("1")));
-        assert!(full_refine_requested(Some("true")));
-        assert!(!full_refine_requested(Some("0")));
-        assert!(!full_refine_requested(None));
-        assert_eq!(shards_requested(None), None);
-        assert_eq!(shards_requested(Some("0")), None);
-        assert_eq!(shards_requested(Some("8")), Some(8));
-        assert_eq!(shards_requested(Some(" 16 ")), Some(16));
-        assert_eq!(shards_requested(Some("many")), None);
+    fn refit_refinement_matches_naive_full_refit() {
+        // Training-side contract: refit mode re-scores every row but reuses
+        // clean feature rows; a naive refit recomputing every row each
+        // iteration must produce the same graphs and change ratios.
+        let (ds, cfg, p1) = setup();
+        let lp = &p1.train_pairs;
+        let cal_idx: Vec<usize> =
+            if p1.holdout.len() >= 20 { p1.holdout.clone() } else { (0..lp.len()).collect() };
+        let cal_labels: Vec<bool> = cal_idx.iter().map(|&i| lp.labels[i]).collect();
+        let store = FeatureStore::build(&p1.model, ds, &lp.pairs);
+        let g0 = p1.model.predict_graph(ds, &lp.pairs);
+        for svm_cfg in candidate_svm_configs(cfg) {
+            let refinement = Refinement {
+                cfg,
+                pairs: &lp.pairs,
+                scoring: Scoring::Refit {
+                    svm_cfg: &svm_cfg,
+                    cal_idx: &cal_idx,
+                    cal_labels: &cal_labels,
+                },
+                presence: Presence::Whole(&store),
+            };
+            let (trace, _) = refinement.run(g0.clone(), &mut RefineState::default(), &[], &[]);
+            let mut graphs = vec![g0.clone()];
+            let mut ratios = Vec::new();
+            for _ in 0..cfg.max_iterations {
+                let g = graphs.last().unwrap();
+                let rows: Vec<Vec<f32>> =
+                    lp.pairs.iter().map(|&p| composite_feature(g, p, cfg.k_hop, &store)).collect();
+                let cal: Vec<Vec<f32>> = cal_idx.iter().map(|&i| rows[i].clone()).collect();
+                let (scaler, cal_scaled) = StandardScaler::fit_transform(&cal);
+                let svm = Svm::fit(&svm_cfg, &cal_scaled, &cal_labels);
+                let preds = svm.predict(&scaler.transform(&rows));
+                let next = graph_from_predictions(g.n_vertices(), &lp.pairs, &preds);
+                let change = g.change_ratio(&next);
+                graphs.push(next);
+                ratios.push(change);
+                if change < cfg.convergence_threshold {
+                    break;
+                }
+            }
+            assert_eq!(trace.graphs, graphs, "{svm_cfg:?}");
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&trace.change_ratios), bits(&ratios), "{svm_cfg:?}");
+        }
     }
 
     #[test]

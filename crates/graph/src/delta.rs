@@ -61,61 +61,20 @@ pub fn changed_edges(a: &SocialGraph, b: &SocialGraph) -> Vec<UserPair> {
     out
 }
 
-/// Marks every vertex within BFS depth `radius` of a changed-edge endpoint.
+/// Marks every vertex within BFS depth `radius` of a changed-edge endpoint
+/// or a vertex seed.
 ///
 /// The BFS runs over the *union* adjacency of `old` and `new`: a pair's
 /// k-hop subgraph in either graph can only reach vertices adjacent in that
 /// graph, so the union dominates both. Returns a dense `Vec<bool>` indexed
-/// by vertex; `seeds` are marked even with `radius == 0`.
+/// by vertex; seeds are marked even with `radius == 0`.
 ///
-/// # Panics
-///
-/// Panics if the graphs have different vertex counts.
-pub fn influence_set(
-    old: &SocialGraph,
-    new: &SocialGraph,
-    seeds: &[UserPair],
-    radius: usize,
-) -> Vec<bool> {
-    assert_eq!(
-        old.n_vertices(),
-        new.n_vertices(),
-        "influence set requires graphs over the same vertex set"
-    );
-    let n = old.n_vertices();
-    let mut depth: Vec<Option<usize>> = vec![None; n];
-    let mut queue = VecDeque::new();
-    for pair in seeds {
-        for u in [pair.lo(), pair.hi()] {
-            if depth[u.index()].is_none() {
-                depth[u.index()] = Some(0);
-                queue.push_back(u);
-            }
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        let d = depth[u.index()].unwrap_or(0);
-        if d == radius {
-            continue;
-        }
-        for &v in old.neighbors(u).iter().chain(new.neighbors(u)) {
-            if depth[v.index()].is_none() {
-                depth[v.index()] = Some(d + 1);
-                queue.push_back(v);
-            }
-        }
-    }
-    depth.into_iter().map(|d| d.is_some()).collect()
-}
-
-/// [`influence_set`] with additional vertex seeds at depth 0.
-///
-/// Incremental ingestion dirties pairs two ways: edges that changed between
-/// the previous run's final graph and the new `G⁰`, and users whose own
-/// check-ins changed (their presence rows feed every composite feature that
-/// reads an incident edge). Both kinds of dirt propagate the same way —
-/// BFS over the union adjacency — so this variant seeds the frontier with
-/// the changed-edge endpoints *and* the data-dirty vertices.
+/// Refinement dirties pairs two ways: edges that changed between two
+/// scored graphs, and users whose own check-ins changed (their presence
+/// rows feed every composite feature that reads an incident edge). Both
+/// kinds of dirt propagate the same way, so the frontier starts from the
+/// changed-edge endpoints *and* the data-dirty vertices; pure graph churn
+/// passes no vertex seeds.
 ///
 /// # Panics
 ///
@@ -183,11 +142,11 @@ mod tests {
             [pair(0, 1), pair(1, 2), pair(2, 3), pair(3, 4), pair(4, 5)],
         );
         let seeds = [pair(0, 1)];
-        let r0 = influence_set(&g, &g, &seeds, 0);
+        let r0 = influence_set_seeded(&g, &g, &seeds, &[], 0);
         assert_eq!(r0, vec![true, true, false, false, false, false]);
-        let r1 = influence_set(&g, &g, &seeds, 1);
+        let r1 = influence_set_seeded(&g, &g, &seeds, &[], 1);
         assert_eq!(r1, vec![true, true, true, false, false, false]);
-        let r2 = influence_set(&g, &g, &seeds, 2);
+        let r2 = influence_set_seeded(&g, &g, &seeds, &[], 2);
         assert_eq!(r2, vec![true, true, true, true, false, false]);
     }
 
@@ -196,17 +155,17 @@ mod tests {
         // Edge (1,2) exists only in `new`; BFS from seed 0-1 must cross it.
         let old = SocialGraph::from_edges(3, [pair(0, 1)]);
         let new = SocialGraph::from_edges(3, [pair(0, 1), pair(1, 2)]);
-        let reach = influence_set(&old, &new, &[pair(0, 1)], 1);
+        let reach = influence_set_seeded(&old, &new, &[pair(0, 1)], &[], 1);
         assert_eq!(reach, vec![true, true, true]);
         // And symmetrically when the edge only exists in `old`.
-        let reach = influence_set(&new, &old, &[pair(0, 1)], 1);
+        let reach = influence_set_seeded(&new, &old, &[pair(0, 1)], &[], 1);
         assert_eq!(reach, vec![true, true, true]);
     }
 
     #[test]
     fn empty_seeds_mark_nothing() {
         let g = SocialGraph::from_edges(3, [pair(0, 1)]);
-        assert_eq!(influence_set(&g, &g, &[], 5), vec![false; 3]);
+        assert_eq!(influence_set_seeded(&g, &g, &[], &[], 5), vec![false; 3]);
     }
 
     #[test]
@@ -223,17 +182,5 @@ mod tests {
         // Edge and vertex seeds combine into one frontier.
         let both = influence_set_seeded(&g, &g, &[pair(0, 1)], &[UserId::new(5)], 1);
         assert_eq!(both, vec![true, true, true, false, true, true]);
-    }
-
-    #[test]
-    fn seeded_matches_unseeded_without_vertex_seeds() {
-        let g = SocialGraph::from_edges(4, [pair(0, 1), pair(1, 2), pair(2, 3)]);
-        let seeds = [pair(1, 2)];
-        for radius in 0..3 {
-            assert_eq!(
-                influence_set_seeded(&g, &g, &seeds, &[], radius),
-                influence_set(&g, &g, &seeds, radius)
-            );
-        }
     }
 }

@@ -27,7 +27,7 @@ pub mod heuristics;
 mod khop;
 
 /// Edge-set diffs and dirty-vertex influence sets for incremental refinement.
-pub use delta::{changed_edges, influence_set, influence_set_seeded};
+pub use delta::{changed_edges, influence_set_seeded};
 /// Undirected friendship graph with O(1) edge tests.
 pub use graph::SocialGraph;
 /// k-hop reachable subgraphs (Definition 6, Theorem 1).

@@ -795,11 +795,12 @@ mod tests {
     use super::*;
 
     fn graph_of(files: &[(&str, &str)]) -> CallGraph {
-        let root = std::env::temp_dir().join(format!(
-            "seeker-lint-cg-{}-{}",
-            std::process::id(),
-            files.len()
-        ));
+        // One directory per call: tests run on parallel threads, and a name
+        // shared between two of them lets one delete the other's files.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let root =
+            std::env::temp_dir().join(format!("seeker-lint-cg-{}-{call}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         fs::create_dir_all(root.join("crates/alpha/src")).expect("mkdir");
         fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/*\"]\n")

@@ -3,10 +3,9 @@
 //! read **once per process** through an [`std::sync::OnceLock`]-cached
 //! snapshot.
 //!
-//! Before this module, nine `SEEKER_*` reads were scattered across four
-//! crates with inconsistent caching: `SEEKER_THREADS` was read once,
-//! `SEEKER_SHARDS` and `SEEKER_FULL_REFINE` were re-read on every call.
-//! Centralizing the reads makes the caching uniform (configuration is
+//! Before this module, `SEEKER_*` reads were scattered across four crates
+//! with inconsistent caching: some were read once, others re-read on every
+//! call. Centralizing the reads makes the caching uniform (configuration is
 //! immutable process state, not a live knob), gives `seeker-lint` a single
 //! machine-readable spec to cross-check `docs/CONFIGURATION.md` against, and
 //! lets the `env-read` lint rule ban raw `std::env::var` everywhere else in
@@ -48,13 +47,6 @@ pub const VARS: &[VarSpec] = &[
         description: "Opt into actually measuring the 1M-user row of `bench_scale`.",
     },
     VarSpec {
-        name: "SEEKER_BENCH_E2E",
-        kind: "1",
-        default: "skip the end-to-end infer comparison",
-        consumer: "seeker-bench",
-        description: "Opt into the slow end-to-end `infer` vs `infer_full` timing in `bench_candidates`.",
-    },
-    VarSpec {
         name: "SEEKER_BENCH_GATE",
         kind: "f64",
         default: "report only, never fail",
@@ -67,13 +59,6 @@ pub const VARS: &[VarSpec] = &[
         default: "delta-driven incremental ingestion",
         consumer: "friendseeker",
         description: "Escape hatch: incremental sessions rebuild all state from scratch on every ingest batch.",
-    },
-    VarSpec {
-        name: "SEEKER_FULL_REFINE",
-        kind: "1|true",
-        default: "delta-driven incremental refinement",
-        consumer: "friendseeker",
-        description: "Escape hatch forcing the full per-iteration feature recompute in phase 2.",
     },
     VarSpec {
         name: "SEEKER_LOG",
@@ -95,13 +80,6 @@ pub const VARS: &[VarSpec] = &[
         default: "20230701",
         consumer: "seeker-bench",
         description: "The experiment seed used by the experiment binaries.",
-    },
-    VarSpec {
-        name: "SEEKER_SHARDS",
-        kind: "usize > 0",
-        default: "unsharded inference",
-        consumer: "friendseeker",
-        description: "Routes `TrainedAttack::infer` through the shard-by-shard pipeline with this many shards.",
     },
     VarSpec {
         name: "SEEKER_THREADS",

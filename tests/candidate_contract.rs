@@ -1,9 +1,9 @@
 //! Candidate-mode / incremental-refinement exactness contract.
 //!
-//! The quadratic reference path — full pair universe, full per-iteration
-//! feature recompute (`TrainedAttack::infer_full`, what `SEEKER_FULL_REFINE=1`
-//! forces) — and the optimized default path — co-occurrence candidates plus
-//! dirty-pair refresh (`TrainedAttack::infer`) — must produce **bit
+//! The quadratic reference — full pair universe, every composite feature
+//! recomputed every iteration (`reference_infer` below, built from public
+//! API only) — and the optimized default path — co-occurrence candidates
+//! plus dirty-row refresh (`TrainedAttack::infer`) — must produce **bit
 //! identical** output on a fixed seed: the same final `SocialGraph`, the
 //! same graph sequence, and the same change ratios to the last bit.
 //!
@@ -12,11 +12,46 @@
 //! pruning is additionally guarded by the zero-JOC fallback, so the
 //! universes also agree whenever pruning would be unsound.
 
+use friendseeker::features::{composite_feature, FeatureStore};
 use friendseeker::pairs::{all_pairs, labeled_pairs};
-use friendseeker::{FriendSeeker, FriendSeekerConfig, TrainedAttack};
+use friendseeker::phase2::{graph_from_predictions, IterationTrace};
+use friendseeker::{FriendSeeker, FriendSeekerConfig, InferenceResult, TrainedAttack};
 use seeker_trace::synth::{generate, SyntheticConfig};
-use seeker_trace::Dataset;
+use seeker_trace::{Dataset, UserPair};
 use std::sync::OnceLock;
+
+/// The from-scratch oracle: phase-1 graph, then frozen-`C'` refinement that
+/// recomputes every pair's composite feature and decision each iteration.
+fn reference_infer(
+    attack: &TrainedAttack,
+    target: &Dataset,
+    pairs: Vec<UserPair>,
+) -> InferenceResult {
+    let (cfg, phase1, phase2) = (attack.config(), attack.phase1(), attack.phase2());
+    let store = FeatureStore::build(phase1, target, &pairs);
+    let mut graphs = vec![phase1.predict_graph(target, &pairs)];
+    let mut change_ratios = Vec::new();
+    let mut converged = phase2.n_iterations() == 0;
+    for _ in 0..phase2.n_iterations().min(cfg.max_iterations) {
+        let g = graphs.last().unwrap();
+        let rows: Vec<Vec<f32>> =
+            pairs.iter().map(|&p| composite_feature(g, p, cfg.k_hop, &store)).collect();
+        let preds = phase2.svm().predict(&phase2.scaler().transform(&rows));
+        let next = graph_from_predictions(target.n_users(), &pairs, &preds);
+        let change = g.change_ratio(&next);
+        graphs.push(next);
+        change_ratios.push(change);
+        if change < cfg.convergence_threshold {
+            converged = true;
+            break;
+        }
+    }
+    InferenceResult {
+        pairs,
+        trace: IterationTrace { graphs, change_ratios, converged },
+        candidates: None,
+    }
+}
 
 fn fixture() -> &'static (Dataset, TrainedAttack) {
     static CELL: OnceLock<(Dataset, TrainedAttack)> = OnceLock::new();
@@ -28,11 +63,7 @@ fn fixture() -> &'static (Dataset, TrainedAttack) {
     })
 }
 
-fn assert_traces_identical(
-    a: &friendseeker::InferenceResult,
-    b: &friendseeker::InferenceResult,
-    what: &str,
-) {
+fn assert_traces_identical(a: &InferenceResult, b: &InferenceResult, what: &str) {
     assert_eq!(a.trace.converged, b.trace.converged, "{what}: convergence flag");
     assert_eq!(a.trace.graphs.len(), b.trace.graphs.len(), "{what}: iteration count");
     for (i, (ga, gb)) in a.trace.graphs.iter().zip(b.trace.graphs.iter()).enumerate() {
@@ -44,13 +75,13 @@ fn assert_traces_identical(
 }
 
 /// The headline contract: default `infer` (candidates + incremental)
-/// against `infer_full` (all pairs + full recompute per iteration).
+/// against the oracle (all pairs + full recompute per iteration).
 #[test]
 fn candidate_incremental_infer_matches_full_reference() {
     let (target, attack) = fixture();
     let fast = attack.infer(target).unwrap();
-    let full = attack.infer_full(target).unwrap();
-    assert_traces_identical(&fast, &full, "infer vs infer_full");
+    let full = reference_infer(attack, target, all_pairs(target).unwrap());
+    assert_traces_identical(&fast, &full, "infer vs reference");
     assert_eq!(fast.final_graph(), full.final_graph());
     // The universe split is recorded and accounts for every pair.
     let u = fast.candidates.as_ref().expect("candidate mode records its split");
@@ -68,8 +99,8 @@ fn incremental_refine_matches_full_on_explicit_pairs() {
     for seed in [777u64, 4242] {
         let pairs = labeled_pairs(target, 1.0, seed).pairs;
         let fast = attack.infer_pairs(target, pairs.clone());
-        let full = attack.infer_pairs_full(target, pairs);
-        assert_traces_identical(&fast, &full, "infer_pairs vs infer_pairs_full");
+        let full = reference_infer(attack, target, pairs);
+        assert_traces_identical(&fast, &full, "infer_pairs vs reference");
     }
 }
 
@@ -79,6 +110,6 @@ fn incremental_refine_matches_full_on_quadratic_universe() {
     let (target, attack) = fixture();
     let pairs = all_pairs(target).unwrap();
     let fast = attack.infer_pairs(target, pairs.clone());
-    let full = attack.infer_pairs_full(target, pairs);
-    assert_traces_identical(&fast, &full, "quadratic infer_pairs vs infer_pairs_full");
+    let full = reference_infer(attack, target, pairs);
+    assert_traces_identical(&fast, &full, "quadratic infer_pairs vs reference");
 }
